@@ -4,26 +4,59 @@ Three execution styles, matching the paper's design points:
 
 * **serialized** — the BMOs run as monolithic blocks, back to back,
   occupying one unit for their summed latency (the baseline system);
-* **dataflow** — each sub-operation becomes a simulator process that
-  waits for its dependencies, competes for a BMO unit, charges its
-  latency, runs its functional action, and signals completion.  With
-  ``k`` units this *is* list scheduling, and contention across
-  concurrent writes/cores emerges naturally from the shared
-  :class:`repro.sim.Resource`;
-* **partial/resume** — the same dataflow engine restricted to a subset
-  of sub-ops, used for pre-execution (run only what the available
-  inputs allow) and for completing or refreshing a write whose
-  pre-executed results were partially stale.
+* **dataflow** — the requested sub-operations of one write run as one
+  callback-driven dataflow (:class:`_DagRun`).  The run holds a
+  countdown of unfinished in-run dependencies per sub-op and successor
+  lists, both built once per target set (:class:`_Plan`).  A sub-op
+  whose countdown reaches zero requests a BMO unit from the shared
+  :class:`repro.sim.Resource` (:meth:`~repro.sim.Resource.request`),
+  holds it for its initiation interval, and completes after its full
+  latency.  With ``k`` units this *is* list scheduling, and contention
+  across concurrent writes/cores emerges naturally from the shared
+  unit FIFO;
+* **partial/resume** — the same dataflow restricted to a subset of
+  sub-ops, used for pre-execution (run only what the available inputs
+  allow) and for completing or refreshing a write whose pre-executed
+  results were partially stale.
+
+The caller yields on the run's single :class:`repro.sim.SimEvent`.
+
+**Hop-order contract.**  A *hop* is one dispatched simulator callback.
+The dataflow keeps every side-effecting step — unit request and
+release, :meth:`SubOp.execute`, ``timing_policy.adjust_timing`` and
+the caller's resume — in the same same-instant FIFO position that a
+design with one coroutine process per sub-op would give it
+(``repro.validate.executor_oracle.CoroutineExecutor``, checked in
+lockstep by ``tests/test_executor_lockstep.py``):
+
+* one deferred start hop runs the sub-ops without in-run dependencies
+  (in topological order) where the per-sub-op processes would each
+  have taken their first step;
+* a unit grant runs one hop after the request, whether the slot was
+  free or handed over by a release;
+* the grant hop schedules the unit's release and then the sub-op's
+  completion;
+* a completion schedules one notify hop for its in-run successors; a
+  successor with a single in-run dependency becomes ready inside that
+  hop, one with several becomes ready one join hop later;
+* a dependency that completes inside the start hop (a zero-latency
+  sub-op) notifies each dependent through its own hop;
+* the caller resumes one hop after the last completion for a
+  one-target run, two hops after for a multi-target run.
+
+Hops with nothing to do (a grant event with no waiter, a completion
+nobody waits on) are not scheduled at all; that is where the dataflow
+saves host time over per-sub-op processes.
 """
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.bmo.base import BmoContext
 from repro.bmo.pipeline import BmoPipeline
 from repro.common.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import Resource, Simulator, quantize_ns
-from repro.sim.engine import Process, SimEvent
+from repro.sim.engine import SimEvent
 from repro.sim.stats import StatSet
 
 
@@ -53,12 +86,7 @@ class BmoExecutor:
         self._h_serialized_block = \
             self.stats.histogram("serialized_block_ns")
         self._h_subop: Dict[str, object] = {}
-        # Interned per-subop strings: building "done:<name>" /
-        # "subop:<name>" per write showed up in dispatch profiles.
-        self._done_names = {n: "done:" + n
-                            for n in pipeline.graph.subops}
-        self._proc_names = {n: "subop:" + n
-                            for n in pipeline.graph.subops}
+        self._order = pipeline.graph.topological_order
         # Per-subop (total, occupancy) quantized once: latencies and
         # the pipeline fraction are fixed for the executor's lifetime,
         # so there is nothing to recompute per dispatched sub-op.
@@ -71,6 +99,8 @@ class BmoExecutor:
             else:
                 total = occupancy = 0
             self._op_timing[n] = (total, occupancy)
+        #: Dependency tables per target tuple, built on first use.
+        self._plans: Dict[Tuple[str, ...], _Plan] = {}
         #: Optional per-execution timing adjustor installed by a
         #: scheduling policy (``repro.bmo.policy``): called with
         #: ``(name, ctx, total, occupancy)`` before each timed sub-op
@@ -126,84 +156,47 @@ class BmoExecutor:
         as a dependency-respecting dataflow on the shared units.
         Completes when every requested sub-op has run.
         """
-        graph = self.pipeline.graph
+        completed = ctx.completed
         if names is None:
-            targets = [n for n in graph.topological_order
-                       if n not in ctx.completed]
+            targets = tuple(n for n in self._order if n not in completed)
         else:
-            targets = [n for n in graph.topological_order
-                       if n in set(names) and n not in ctx.completed]
+            wanted = set(names)
+            targets = tuple(n for n in self._order
+                            if n in wanted and n not in completed)
         if not targets:
             return ctx
-        target_set: Set[str] = set(targets)
-        for name in targets:
-            for dep in graph.subops[name].deps:
-                if dep not in target_set and dep not in ctx.completed:
+        plan = self._plans.get(targets)
+        if plan is None:
+            plan = self._plans[targets] = _Plan(self, targets)
+        if not plan.needs <= completed:
+            for name, dep in plan.outside:
+                if dep not in completed:
                     raise SimulationError(
                         f"cannot run {name!r}: dependency {dep!r} neither "
                         f"completed nor scheduled")
-        sim = self.sim
-        done_names = self._done_names
-        proc_names = self._proc_names
-        # Direct constructor calls: the sim.event()/sim.process()
-        # factories are one extra frame per sub-op on the hottest
-        # allocation site in the write path.
-        done: Dict[str, object] = {
-            name: SimEvent(sim, done_names[name]) for name in targets}
-        children = [
-            Process(sim, self._run_one(ctx, name, done),
-                    proc_names[name])
-            for name in targets
-        ]
-        if len(children) == 1:
-            yield children[0]
-        else:
-            yield sim.all_of(children)
+        yield _DagRun(self, ctx, plan).done
         return ctx
 
-    def _run_one(self, ctx: BmoContext, name: str,
-                 done: Dict[str, object]):
-        op = self.pipeline.graph.subops[name]
-        waits = [done[d] for d in op.deps if d in done]
-        if len(waits) == 1:
-            # Bypass the AllOf wrapper for single-dependency chains —
-            # the common case in the default pipeline's hash ladders.
-            yield waits[0]
-        elif waits:
-            yield self.sim.all_of(waits)
-        sim = self.sim
-        ready = sim.now  # dependencies satisfied; queueing begins
-        total, occupancy = self._op_timing[name]
-        if total and self.timing_policy is not None:
-            total, occupancy = self.timing_policy.adjust_timing(
-                name, ctx, total, occupancy)
-        if op.latency_ns > 0:
-            grant = self.units.acquire()
-            try:
-                yield grant
-            except BaseException:
-                self.units.cancel(grant)
-                raise
-            exec_start = sim.now
-            sim._schedule(occupancy, self.units.release)
-            yield sim.delay(total)
-            op.execute(ctx)
-            if self.tracer.enabled:
-                self.tracer.complete(
-                    name, "bmo", ("bmo", op.bmo),
-                    start_ns=exec_start,
-                    dur_ns=self.sim.now - exec_start,
-                    args={"addr": ctx.addr,
-                          "unit_wait_ns": exec_start - ready})
-        else:
-            op.execute(ctx)
+    def _run_one(self, ctx: BmoContext, op, ready: int,
+                 granted: Optional[int]) -> None:
+        """Run ``op``'s functional action on ``ctx`` and account for it.
+
+        ``ready`` is when its dependencies were satisfied, ``granted``
+        when it got its unit (``None`` for a zero-latency sub-op).
+        """
+        op.execute(ctx)
+        now = self.sim.now
+        if granted is not None and self.tracer.enabled:
+            self.tracer.complete(
+                op.name, "bmo", ("bmo", op.bmo),
+                start_ns=granted, dur_ns=now - granted,
+                args={"addr": ctx.addr, "unit_wait_ns": granted - ready})
         self._c_subops_executed.add()
-        hist = self._h_subop.get(name)
+        hist = self._h_subop.get(op.name)
         if hist is None:
-            hist = self._h_subop[name] = \
-                self.stats.histogram(f"subop.{name}_ns")
-        hist.observe(self.sim.now - ready)
-        done[name].succeed()
+            hist = self._h_subop[op.name] = \
+                self.stats.histogram(f"subop.{op.name}_ns")
+        hist.observe(now - ready)
 
     # -- pre-execution helpers -----------------------------------------------
     def pre_executable(self, ctx: BmoContext) -> list:
@@ -231,8 +224,173 @@ class BmoExecutor:
             if stale:
                 self._c_stale_rerun.add(len(stale))
                 self.pipeline.invalidate(ctx, stale)
-            remaining = [n for n in self.pipeline.graph.topological_order
-                         if n not in ctx.completed]
-            if not remaining:
+            if ctx.completed.issuperset(self._order):
                 return ctx
-            yield from self.run_subops(ctx, remaining)
+            yield from self.run_subops(ctx)
+
+
+class _Plan:
+    """Dependency tables of one target tuple (topological order).
+
+    Sub-ops are addressed by their index in ``names``.  ``deps[i]``
+    are ``i``'s in-run dependencies, ``succ[i]`` its in-run dependents
+    in ascending index order — the order in which per-sub-op processes
+    would have registered on its completion.
+    """
+
+    __slots__ = ("names", "ops", "timing", "ndeps", "deps", "succ",
+                 "needs", "outside")
+
+    def __init__(self, executor: BmoExecutor, targets: Tuple[str, ...]):
+        graph = executor.pipeline.graph
+        index = {name: i for i, name in enumerate(targets)}
+        self.names = targets
+        self.ops = tuple(graph.subops[name] for name in targets)
+        self.timing = tuple(executor._op_timing[name] for name in targets)
+        self.deps = tuple(tuple(index[d] for d in op.deps if d in index)
+                          for op in self.ops)
+        self.ndeps = tuple(len(deps) for deps in self.deps)
+        self.succ = tuple(
+            tuple(sorted(index[s] for s in graph.successor_map[name]
+                         if s in index))
+            for name in targets)
+        #: ``(sub-op, dependency)`` pairs the run needs completed.
+        self.outside = tuple((op.name, d) for op in self.ops
+                             for d in op.deps if d not in index)
+        self.needs = frozenset(d for _name, d in self.outside)
+
+
+class _DagRun:
+    """One :meth:`BmoExecutor.run_subops` call as a callback dataflow.
+
+    Every scheduled callback is a method of the run; the profiler keys
+    them ``bmo:<method>`` (:attr:`profile_layer`).
+    """
+
+    __slots__ = ("executor", "sim", "ctx", "plan", "done", "remaining",
+                 "left", "timing", "ready_at", "granted_at", "starting",
+                 "early", "failed")
+    profile_layer = "bmo"
+
+    def __init__(self, executor: BmoExecutor, ctx: BmoContext,
+                 plan: _Plan):
+        sim = executor.sim
+        n = len(plan.names)
+        self.executor = executor
+        self.sim = sim
+        self.ctx = ctx
+        self.plan = plan
+        #: What the caller yields on.
+        self.done = SimEvent(sim, "bmo-run")
+        #: Per-sub-op countdown of in-run dependencies not yet notified.
+        self.remaining = list(plan.ndeps)
+        #: Sub-ops not yet completed.
+        self.left = n
+        #: Per-sub-op (total, occupancy), after ``adjust_timing``.
+        self.timing = list(plan.timing)
+        self.ready_at = [0] * n
+        self.granted_at = [0] * n
+        #: True while the start hop runs.
+        self.starting = True
+        #: Sub-ops completed inside the start hop (zero-latency, no
+        #: in-run dependency), or ``None``.
+        self.early = None
+        self.failed = False
+        sim._schedule_now(self._start)
+
+    def _start(self) -> None:
+        early_done = self.early
+        for i, deps in enumerate(self.plan.deps):
+            if not deps:
+                self._ready(i)
+                early_done = self.early
+            elif early_done is not None:
+                for j in deps:
+                    if j in early_done:
+                        self.sim._schedule_now(self._deliver, i)
+        self.starting = False
+
+    def _ready(self, i: int) -> None:
+        """Sub-op ``i``'s dependencies are satisfied: request a unit,
+        or run it now if it takes no time."""
+        executor = self.executor
+        self.ready_at[i] = self.sim.now
+        op = self.plan.ops[i]
+        policy = executor.timing_policy
+        if policy is not None:
+            total, occupancy = self.timing[i]
+            if total:
+                try:
+                    self.timing[i] = policy.adjust_timing(
+                        op.name, self.ctx, total, occupancy)
+                except Exception as err:
+                    self._fail(err)
+                    return
+        if op.latency_ns > 0:
+            executor.units.request(self._grant, i)
+        else:
+            self._complete(i)
+
+    def _grant(self, i: int) -> None:
+        sim = self.sim
+        total, occupancy = self.timing[i]
+        self.granted_at[i] = sim.now
+        sim._schedule(occupancy, self.executor.units.release)
+        sim._schedule(total, self._complete, i)
+
+    def _complete(self, i: int) -> None:
+        plan = self.plan
+        timed = plan.ops[i].latency_ns > 0
+        try:
+            self.executor._run_one(
+                self.ctx, plan.ops[i], self.ready_at[i],
+                self.granted_at[i] if timed else None)
+        except Exception as err:
+            self._fail(err)
+            return
+        if self.starting:
+            if self.early is None:
+                self.early = set()
+            self.early.add(i)
+        elif plan.succ[i]:
+            self.sim._schedule_now(self._notify, i)
+        self.left -= 1
+        if not self.left:
+            if len(plan.names) == 1:
+                self.done.succeed()
+            else:
+                self.sim._schedule_now(self._finish)
+
+    def _notify(self, i: int) -> None:
+        for j in self.plan.succ[i]:
+            self._deliver(j)
+
+    def _deliver(self, j: int) -> None:
+        """One in-run dependency of sub-op ``j`` has completed."""
+        if self.plan.ndeps[j] == 1:
+            self._ready(j)
+            return
+        remaining = self.remaining[j] - 1
+        self.remaining[j] = remaining
+        if not remaining:
+            self.sim._schedule_now(self._join, j)
+
+    def _join(self, j: int) -> None:
+        self._ready(j)
+
+    def _finish(self, err: Optional[BaseException] = None) -> None:
+        if err is None:
+            self.done.succeed()
+        else:
+            self.done.fail(err)
+
+    def _fail(self, err: BaseException) -> None:
+        """A sub-op raised: fail the caller's event where a failed
+        per-sub-op process would have; its dependents never run."""
+        if self.failed:
+            return
+        self.failed = True
+        if len(self.plan.names) == 1:
+            self.done.fail(err)
+        else:
+            self.sim._schedule_now(self._finish, err)

@@ -31,20 +31,25 @@ class DependencyGraph:
                 raise SimulationError(f"duplicate sub-op name {op.name!r}")
             self.subops[op.name] = op
         for op in subops:
+            if len(set(op.deps)) != len(op.deps):
+                raise SimulationError(
+                    f"sub-op {op.name!r} lists a dependency twice")
             for dep in op.deps:
                 if dep not in self.subops:
                     raise SimulationError(
                         f"sub-op {op.name!r} depends on unknown {dep!r}")
+        #: name -> direct dependents, in sub-op definition order.
+        self.successor_map: Dict[str, Tuple[str, ...]] = {
+            name: tuple(n for n, op in self.subops.items()
+                        if name in op.deps)
+            for name in self.subops}
         self._order = self._topological_order()
         self._closure = self._external_closure()
 
     # -- structure ---------------------------------------------------------
     def _topological_order(self) -> List[str]:
         indegree = {name: len(op.deps) for name, op in self.subops.items()}
-        successors: Dict[str, List[str]] = {n: [] for n in self.subops}
-        for name, op in self.subops.items():
-            for dep in op.deps:
-                successors[dep].append(name)
+        successors = self.successor_map
         ready = sorted(n for n, d in indegree.items() if d == 0)
         order: List[str] = []
         while ready:
@@ -65,15 +70,16 @@ class DependencyGraph:
         return list(self._order)
 
     def successors(self, name: str) -> List[str]:
-        return [n for n, op in self.subops.items() if name in op.deps]
+        return list(self.successor_map[name])
 
     def reachable_from(self, roots: Iterable[str]) -> Set[str]:
         """All sub-ops reachable by following dependency edges forward."""
+        successor_map = self.successor_map
         seen: Set[str] = set()
         frontier = list(roots)
         while frontier:
             node = frontier.pop()
-            for succ in self.successors(node):
+            for succ in successor_map[node]:
                 if succ not in seen:
                     seen.add(succ)
                     frontier.append(succ)

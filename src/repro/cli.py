@@ -23,7 +23,8 @@ Commands
 ``bench [--quick] [--compare PATH|auto|none] [--threshold F]``
     Wall-clock perf benchmark of the tier-1 workloads plus the IRB
     microbenchmark; writes ``benchmarks/perf/BENCH_<date>.json`` and
-    fails (exit 1) on a throughput regression versus the baseline.
+    fails (exit 1) when µs per simulated transaction regresses versus
+    the baseline.
 ``scrub <workload> [--crash-at T] [--faults K,K,...] [--seed S]``
     Run a workload, pull the plug, recover, and print the recovery
     summary plus the :class:`ScrubReport` — optionally with seeded
@@ -317,8 +318,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             "'auto' (latest BENCH_*.json in DIR), or "
                             "'none'")
     bench.add_argument("--threshold", type=float, default=0.25,
-                       help="fail when events/sec falls by more than "
-                            "this fraction (default 0.25)")
+                       help="fail when calibration-normalised µs per "
+                            "simulated transaction is slower by more "
+                            "than this fraction, 1 - base/current "
+                            "(default 0.25)")
     bench.add_argument("--min-irb-speedup", type=float, default=2.0,
                        help="fail when the indexed IRB microbench "
                             "speedup over the linear baseline drops "

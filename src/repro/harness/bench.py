@@ -8,7 +8,8 @@ event dispatch) are caught by CI instead of silently accumulating.
 Three parts:
 
 * **Workload benches** — run every tier-1 workload under Janus mode
-  and record wall-clock seconds, dispatched simulator events/sec, and
+  and record wall-clock seconds, wall µs per simulated transaction,
+  and (informational) dispatched simulator events/sec and
   simulated-ns advanced per wall-second.
 * **IRB microbenchmark** — drive the indexed
   :class:`~repro.janus.irb.IntermediateResultBuffer` and the
@@ -17,8 +18,9 @@ Three parts:
   indexed/linear speedup.  This ratio is host-speed-independent.
 * **Calibration** — a fixed pure-Python loop timed on the same host.
   Cross-machine comparisons (CI versus the machine that produced the
-  committed baseline) normalise events/sec by the calibration score,
-  so the regression gate measures the *code*, not the hardware.
+  committed baseline) normalise µs per transaction by the calibration
+  score, so the regression gate measures the *code*, not the
+  hardware.
 
 Reports are JSON (``schema: repro-bench-v1``), written as
 ``BENCH_<date>.json`` under ``benchmarks/perf/`` — the repo's perf
@@ -102,14 +104,16 @@ def bench_workload(name: str, txns: int, mode: str = "janus",
         sim_ns = system.run_programs([w.run() for w in workloads])
         wall_s = time.perf_counter() - start
         events = system.sim.events
+        transactions = sum(w.completed_transactions for w in workloads)
         sample = {
             "wall_s": wall_s,
             "sim_ns": sim_ns,
             "events": events,
             "events_per_sec": events / wall_s if wall_s else 0.0,
             "sim_ns_per_wall_s": sim_ns / wall_s if wall_s else 0.0,
-            "transactions": sum(w.completed_transactions
-                                for w in workloads),
+            "transactions": transactions,
+            "us_per_txn": (wall_s * 1e6 / transactions
+                           if transactions else 0.0),
         }
         if best is None or sample["wall_s"] < best["wall_s"]:
             best = sample
@@ -461,6 +465,7 @@ def run_bench(quick: bool = False, seed: int = 0,
     total_wall = sum(w["wall_s"] for w in per_workload.values())
     total_events = sum(w["events"] for w in per_workload.values())
     total_sim_ns = sum(w["sim_ns"] for w in per_workload.values())
+    total_txns = sum(w["transactions"] for w in per_workload.values())
     return {
         "schema": BENCH_SCHEMA,
         "meta": {
@@ -477,6 +482,9 @@ def run_bench(quick: bool = False, seed: int = 0,
         "obs_overhead": obs_overhead,
         "totals": {
             "wall_s": total_wall,
+            "transactions": total_txns,
+            "us_per_txn": (total_wall * 1e6 / total_txns
+                           if total_txns else 0.0),
             "events": total_events,
             "events_per_sec": (total_events / total_wall
                                if total_wall else 0.0),
@@ -523,15 +531,34 @@ def load_report(path: str) -> Dict:
 
 
 # -- regression gate -----------------------------------------------------
-def _normalised_eps(report: Dict, workload: str,
-                    calibrated: bool) -> Optional[float]:
-    bench = report.get("workloads", {}).get(workload)
-    if bench is None:
+def _us_per_txn(bench: Dict) -> Optional[float]:
+    """Wall µs per simulated transaction of one workload bench (derived
+    from ``wall_s`` and ``transactions`` for reports that predate the
+    ``us_per_txn`` field)."""
+    txns = bench.get("transactions")
+    if not txns:
         return None
-    eps = bench.get("events_per_sec", 0.0)
+    return bench["wall_s"] * 1e6 / txns
+
+
+def _normalised_cost(report: Dict, us: Optional[float],
+                     calibrated: bool) -> Optional[float]:
+    """``us`` in host-independent units: µs per transaction times the
+    calibration score (iterations/sec), i.e. calibration-loop
+    iterations' worth of time per transaction."""
+    if us is None:
+        return None
     if calibrated:
-        return eps / report["meta"]["calibration_ops_per_sec"]
-    return eps
+        return us * report["meta"]["calibration_ops_per_sec"]
+    return us
+
+
+def _total_us_per_txn(report: Dict) -> Optional[float]:
+    benches = report.get("workloads", {}).values()
+    txns = sum(b.get("transactions", 0) for b in benches)
+    if not txns:
+        return None
+    return sum(b["wall_s"] for b in benches) * 1e6 / txns
 
 
 #: Extra slack on per-workload checks over the aggregate threshold.
@@ -545,9 +572,13 @@ def compare(baseline: Dict, current: Dict,
             threshold: float = DEFAULT_THRESHOLD) -> List[str]:
     """Regressions of ``current`` vs ``baseline`` beyond ``threshold``.
 
-    Compares events/sec normalised by each report's calibration score
-    when both have one (so a slower CI host does not read as a code
-    regression).  Two tiers:
+    Compares wall µs per simulated transaction, normalised by each
+    report's calibration score when both have one (so a slower CI
+    host does not read as a code regression).  A regression is a
+    *slowdown* ``1 - base / current`` above the threshold: the share
+    of simulated-transaction throughput lost.  Events/sec is not
+    gated — a change that dispatches fewer events per transaction
+    lowers it while making runs faster.  Two tiers:
 
     * the **total** across all workloads — where independent
       per-workload noise largely averages out — gates at
@@ -563,31 +594,38 @@ def compare(baseline: Dict, current: Dict,
     calibrated = bool(
         baseline.get("meta", {}).get("calibration_ops_per_sec")
         and current.get("meta", {}).get("calibration_ops_per_sec"))
-    unit = "normalised events/sec" if calibrated else "events/sec"
+    unit = "normalised µs/txn" if calibrated else "µs/txn"
     workload_threshold = min(0.9, threshold + WORKLOAD_NOISE_ALLOWANCE)
+
+    def slowdown(base, cur) -> Optional[float]:
+        if base is None or cur is None or base <= 0 or cur <= 0:
+            return None
+        return 1.0 - base / cur
+
     for workload in sorted(baseline.get("workloads", {})):
-        base = _normalised_eps(baseline, workload, calibrated)
-        cur = _normalised_eps(current, workload, calibrated)
-        if base is None or cur is None or base <= 0:
+        cur_bench = current.get("workloads", {}).get(workload)
+        if cur_bench is None:
             continue
-        drop = 1.0 - cur / base
-        if drop > workload_threshold:
+        base = _normalised_cost(
+            baseline, _us_per_txn(baseline["workloads"][workload]),
+            calibrated)
+        cur = _normalised_cost(current, _us_per_txn(cur_bench), calibrated)
+        drop = slowdown(base, cur)
+        if drop is not None and drop > workload_threshold:
             regressions.append(
-                f"{workload}: {unit} fell {drop:.0%} "
-                f"({base:.3g} -> {cur:.3g}, "
+                f"{workload}: {unit} rose {cur / base - 1:.0%}, "
+                f"{drop:.0%} slower ({base:.3g} -> {cur:.3g}, "
                 f"threshold {workload_threshold:.0%})")
-    base_total = baseline.get("totals", {}).get("events_per_sec")
-    cur_total = current.get("totals", {}).get("events_per_sec")
-    if base_total and cur_total is not None:
-        if calibrated:
-            base_total /= baseline["meta"]["calibration_ops_per_sec"]
-            cur_total /= current["meta"]["calibration_ops_per_sec"]
-        drop = 1.0 - cur_total / base_total
-        if drop > threshold:
-            regressions.append(
-                f"total: {unit} fell {drop:.0%} "
-                f"({base_total:.3g} -> {cur_total:.3g}, "
-                f"threshold {threshold:.0%})")
+    base_total = _normalised_cost(baseline, _total_us_per_txn(baseline),
+                                  calibrated)
+    cur_total = _normalised_cost(current, _total_us_per_txn(current),
+                                 calibrated)
+    drop = slowdown(base_total, cur_total)
+    if drop is not None and drop > threshold:
+        regressions.append(
+            f"total: {unit} rose {cur_total / base_total - 1:.0%}, "
+            f"{drop:.0%} slower ({base_total:.3g} -> {cur_total:.3g}, "
+            f"threshold {threshold:.0%})")
     return regressions
 
 
@@ -598,15 +636,17 @@ def render(report: Dict, baseline: Optional[Dict] = None) -> str:
     lines.append(f"repro bench — {meta['date']}"
                  f"{' (quick)' if meta.get('quick') else ''}  "
                  f"py{meta['python']}")
-    lines.append(f"{'workload':12s} {'wall s':>8s} {'events':>9s} "
-                 f"{'events/s':>10s} {'sim-ns/s':>12s}")
+    lines.append(f"{'workload':12s} {'wall s':>8s} {'µs/txn':>9s} "
+                 f"{'events':>9s} {'events/s':>10s} {'sim-ns/s':>12s}")
     for name in sorted(report["workloads"]):
         w = report["workloads"][name]
-        lines.append(f"{name:12s} {w['wall_s']:8.3f} {w['events']:9d} "
+        lines.append(f"{name:12s} {w['wall_s']:8.3f} "
+                     f"{_us_per_txn(w) or 0.0:9,.0f} {w['events']:9d} "
                      f"{w['events_per_sec']:10,.0f} "
                      f"{w['sim_ns_per_wall_s']:12,.0f}")
     totals = report["totals"]
     lines.append(f"{'TOTAL':12s} {totals['wall_s']:8.3f} "
+                 f"{_total_us_per_txn(report) or 0.0:9,.0f} "
                  f"{totals['events']:9d} "
                  f"{totals['events_per_sec']:10,.0f} "
                  f"{totals['sim_ns_per_wall_s']:12,.0f}")
@@ -623,12 +663,12 @@ def render(report: Dict, baseline: Optional[Dict] = None) -> str:
             f"obs-off dispatch overhead ({obs['events']} events): "
             f"{obs['overhead']:+.2%} vs pre-profiler loop")
     if baseline is not None:
-        base_total = baseline["totals"]["events_per_sec"]
-        cur_total = totals["events_per_sec"]
-        if base_total > 0:
+        base_total = _total_us_per_txn(baseline)
+        cur_total = _total_us_per_txn(report)
+        if base_total and cur_total:
             lines.append(
                 f"vs baseline {baseline['meta']['date']}: total "
-                f"events/sec {cur_total / base_total:.2f}x (raw)")
+                f"µs/txn {cur_total / base_total:.2f}x (raw)")
     return "\n".join(lines)
 
 

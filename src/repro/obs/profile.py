@@ -6,8 +6,8 @@ complementary attributions, both derived from a single run:
 
 * **Dispatch profile** — the :class:`~repro.sim.engine.Simulator`
   instrumented loop classifies every dispatched callback into a
-  stable *event-type* key (``process:subop:aes``, ``timeout``,
-  ``event:done:xor``, ...) and records counts plus host wall-clock
+  stable *event-type* key (``process:program``, ``timeout``,
+  ``bmo:grant``, ...) and records counts plus host wall-clock
   nanoseconds.  Counts are a pure function of the run (deterministic
   and byte-stable); wall-clock is host-measured and reported
   separately, never written into the byte-stable artifacts.
@@ -60,10 +60,18 @@ def normalize_event_name(name: str) -> str:
 
 
 def classify_callback(fn: Callable) -> str:
-    """Stable event-type key for one dispatched simulator callback."""
+    """Stable event-type key for one dispatched simulator callback.
+
+    A callback whose owner declares a ``profile_layer`` (the BMO
+    executor's dataflow runs) is keyed ``<layer>:<method>``, e.g.
+    ``bmo:grant``.
+    """
     owner = getattr(fn, "__self__", None)
     if owner is None:
         return f"fn:{getattr(fn, '__qualname__', repr(fn))}"
+    layer = getattr(owner, "profile_layer", None)
+    if layer is not None:
+        return f"{layer}:{fn.__name__.lstrip('_')}"
     kind = type(owner).__name__.lower()
     if kind == "simevent":
         kind = "event"
@@ -94,7 +102,8 @@ class SimProfiler:
         if owner is None:
             key = classify_callback(fn)
         else:
-            cache_key = (type(owner), getattr(owner, "name", "") or "")
+            cache_key = (type(owner), getattr(owner, "name", "") or "",
+                         fn.__name__)
             key = self._key_cache.get(cache_key)
             if key is None:
                 key = self._key_cache[cache_key] = classify_callback(fn)

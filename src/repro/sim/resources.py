@@ -2,7 +2,10 @@
 
 A :class:`Resource` models a bank of identical servers (e.g. the four
 BMO units, or a memory channel).  Processes acquire a slot, hold it for
-a service time, and release it; waiters queue FIFO.
+a service time, and release it; waiters queue FIFO.  Callback code
+that is not a process (the BMO executor's dataflow) asks for a slot
+with :meth:`Resource.request` instead: it queues in the same FIFO as
+the event waiters and is handed a released slot the same way.
 
 A :class:`Store` is an unbounded-or-bounded FIFO of items with blocking
 ``get`` — used for request queues between pipeline stages.
@@ -18,10 +21,35 @@ silently vanishes from the pipeline.  The :meth:`Resource.use` and
 """
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Callable, Deque, Optional, Union
 
 from repro.common.errors import SimulationError
 from repro.sim.engine import SimEvent, Simulator
+
+
+class Ticket:
+    """A pending :meth:`Resource.request`; pass it to
+    :meth:`Resource.cancel` to withdraw it.
+
+    ``triggered`` turns true when the slot is granted, mirroring the
+    grant event of :meth:`Resource.acquire`.
+    """
+
+    __slots__ = ("fn", "arg", "triggered")
+    #: A ticket cannot fail; :meth:`Resource.cancel` reads this like a
+    #: grant event's ``_exc``.
+    _exc = None
+
+    def __init__(self, fn: Callable[[Any], None], arg: Any,
+                 triggered: bool = False) -> None:
+        self.fn = fn
+        self.arg = arg
+        self.triggered = triggered
+
+
+#: What :meth:`Resource.request` returns for a slot granted at once —
+#: shared, so the uncontended path allocates nothing.
+GRANTED = Ticket(None, None, triggered=True)
 
 
 class Resource:
@@ -34,7 +62,9 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._in_use = 0
-        self._waiters: Deque[SimEvent] = deque()
+        #: FIFO of grant events (:meth:`acquire`) and tickets
+        #: (:meth:`request`).
+        self._waiters: Deque[Union[SimEvent, Ticket]] = deque()
         self._acquire_name = f"{name}.acquire"
         # Utilisation accounting.
         self._busy_time = 0.0
@@ -69,6 +99,30 @@ class Resource:
             self._waiters.append(event)
         return event
 
+    def request(self, fn: Callable[[Any], None], arg: Any = None) -> Ticket:
+        """Callback form of :meth:`acquire`: call ``fn(arg)`` once a
+        slot is granted.
+
+        The call is scheduled for the current instant, in the same
+        same-instant slot where :meth:`acquire`'s grant event would
+        resume its waiter: at once if a slot is free, otherwise from
+        the :meth:`release` that hands the slot over.  Requests and
+        :meth:`acquire` waiters share one FIFO.  The holder releases
+        the slot with :meth:`release`.  Returns a :class:`Ticket` for
+        :meth:`cancel`.
+        """
+        now = self.sim.now
+        self._busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            self.total_acquires += 1
+            self.sim._schedule_now(fn, arg)
+            return GRANTED
+        ticket = Ticket(fn, arg)
+        self._waiters.append(ticket)
+        return ticket
+
     def release(self) -> None:
         """Free one slot, waking the oldest waiter if any."""
         if self._in_use <= 0:
@@ -79,18 +133,26 @@ class Resource:
         if self._waiters:
             # Hand the slot directly to the next waiter.
             self.total_acquires += 1
-            self._waiters.popleft().succeed()
+            waiter = self._waiters.popleft()
+            if waiter.__class__ is Ticket:
+                waiter.triggered = True
+                self.sim._schedule_now(waiter.fn, waiter.arg)
+            else:
+                waiter.succeed()
         else:
             self._in_use -= 1
 
-    def cancel(self, grant: SimEvent) -> None:
-        """Withdraw a pending :meth:`acquire` whose waiter died.
+    def cancel(self, grant: Union[SimEvent, Ticket]) -> None:
+        """Withdraw a pending :meth:`acquire` or :meth:`request` whose
+        waiter died.
 
         If the grant never fired the waiter is simply removed from the
         queue.  If it *did* fire (the slot was handed over in the same
         instant the waiter was killed, so nobody will release it), the
         slot is given back.  Call this exactly once, only from the
-        cancellation path of the process that owns ``grant``.
+        cancellation path of the owner of ``grant``.  A cancelled
+        request's callback may still be scheduled; its owner must
+        ignore it.
         """
         if not grant.triggered:
             try:

@@ -11,8 +11,10 @@ from repro.harness.bench import (
 )
 
 
-def tiny_report(date="2026-01-01", events_per_sec=1000.0,
+def tiny_report(date="2026-01-01", wall_s=0.1, events_per_sec=1000.0,
                 calibration=None):
+    """A minimal report: one workload of 2 transactions taking
+    ``wall_s`` (0.1 s -> 50,000 µs/txn)."""
     meta = {"date": date, "quick": True, "txns": 2, "python": "3.x",
             "platform": "test"}
     if calibration is not None:
@@ -21,16 +23,18 @@ def tiny_report(date="2026-01-01", events_per_sec=1000.0,
         "schema": BENCH_SCHEMA,
         "meta": meta,
         "workloads": {
-            "hash_table": {"wall_s": 0.1, "events": 100,
+            "hash_table": {"wall_s": wall_s, "events": 100,
                            "events_per_sec": events_per_sec,
                            "sim_ns_per_wall_s": 1.0, "sim_ns": 10,
-                           "transactions": 2},
+                           "transactions": 2,
+                           "us_per_txn": wall_s * 1e6 / 2},
         },
         "irb_micro": {"resident_entries": 8, "ops": 8,
                       "indexed_wall_s": 0.1, "linear_wall_s": 0.2,
                       "indexed_ops_per_sec": 80.0,
                       "linear_ops_per_sec": 40.0, "speedup": 2.0},
-        "totals": {"wall_s": 0.1, "events": 100,
+        "totals": {"wall_s": wall_s, "transactions": 2,
+                   "us_per_txn": wall_s * 1e6 / 2, "events": 100,
                    "events_per_sec": events_per_sec,
                    "sim_ns_per_wall_s": 1.0},
     }
@@ -43,6 +47,8 @@ def test_bench_workload_reports_progress_and_events():
     assert result["sim_ns"] > 0
     assert result["wall_s"] > 0
     assert result["events_per_sec"] > 0
+    assert result["us_per_txn"] == pytest.approx(
+        result["wall_s"] * 1e6 / result["transactions"])
 
 
 def test_irb_micro_speedup_meets_acceptance_floor():
@@ -94,11 +100,11 @@ def test_bench_path_uses_date(tmp_path):
 
 
 def test_compare_flags_regression_beyond_threshold():
-    baseline = tiny_report(events_per_sec=1000.0)
-    ok = tiny_report(events_per_sec=900.0)        # -10%: fine
-    bad = tiny_report(events_per_sec=500.0)       # -50%: regression
+    baseline = tiny_report(wall_s=0.1)
+    ok = tiny_report(wall_s=0.11)        # 9% slower: fine
+    bad = tiny_report(wall_s=0.2)        # 50% slower: regression
     assert compare(baseline, ok, threshold=0.25) == []
-    # -50% trips both tiers: the workload gate (25% + 15% noise
+    # 50% slower trips both tiers: the workload gate (25% + 15% noise
     # allowance) and the aggregate-total gate (25%).
     regressions = compare(baseline, bad, threshold=0.25)
     assert len(regressions) == 2
@@ -106,35 +112,54 @@ def test_compare_flags_regression_beyond_threshold():
     assert any(r.startswith("total:") for r in regressions)
 
 
+def test_compare_ignores_events_per_sec():
+    """Fewer events per transaction lowers events/sec while the run
+    gets faster: only µs per transaction is gated."""
+    baseline = tiny_report(wall_s=0.1, events_per_sec=1000.0)
+    fewer_events = tiny_report(wall_s=0.08, events_per_sec=300.0)
+    assert compare(baseline, fewer_events, threshold=0.25) == []
+
+
 def test_compare_tolerates_single_workload_noise():
-    """A lone workload swinging -30% (within shared-host noise) must
-    not trip the gate while the aggregate total holds up."""
-    baseline = tiny_report(events_per_sec=1000.0)
-    noisy = tiny_report(events_per_sec=700.0)     # workload: -30%
-    noisy["totals"]["events_per_sec"] = 900.0     # total: -10%
+    """A lone workload running 30% slower (within shared-host noise)
+    must not trip the gate while the aggregate total holds up."""
+    baseline = tiny_report(wall_s=0.1)
+    baseline["workloads"]["queue"] = dict(
+        baseline["workloads"]["hash_table"], wall_s=0.9)
+    noisy = tiny_report(wall_s=1 / 0.7 * 0.1)     # workload: 30% slower
+    noisy["workloads"]["queue"] = dict(
+        noisy["workloads"]["hash_table"], wall_s=0.9)
     assert compare(baseline, noisy, threshold=0.25) == []
 
 
 def test_compare_total_gate_catches_broad_slowdown():
-    """An across-the-board -30% passes every per-workload check (bar
-    is 40%) but must still trip on the aggregate total."""
-    baseline = tiny_report(events_per_sec=1000.0)
-    slow = tiny_report(events_per_sec=700.0)      # workload and total -30%
+    """An across-the-board 30% slowdown passes every per-workload
+    check (bar is 40%) but must still trip on the aggregate total."""
+    baseline = tiny_report(wall_s=0.1)
+    slow = tiny_report(wall_s=1 / 0.7 * 0.1)      # everything 30% slower
     regressions = compare(baseline, slow, threshold=0.25)
     assert len(regressions) == 1
     assert regressions[0].startswith("total:")
 
 
 def test_compare_normalises_by_calibration():
-    """A slower host (half the calibration score, half the events/sec)
+    """A slower host (half the calibration score, twice the µs/txn)
     must not read as a code regression."""
-    baseline = tiny_report(events_per_sec=1000.0, calibration=2_000_000)
-    slower_host = tiny_report(events_per_sec=500.0, calibration=1_000_000)
+    baseline = tiny_report(wall_s=0.1, calibration=2_000_000)
+    slower_host = tiny_report(wall_s=0.2, calibration=1_000_000)
     assert compare(baseline, slower_host, threshold=0.25) == []
     # But a genuine slowdown on the same host is still caught.
-    same_host_slow = tiny_report(events_per_sec=500.0,
-                                 calibration=2_000_000)
+    same_host_slow = tiny_report(wall_s=0.2, calibration=2_000_000)
     assert compare(baseline, same_host_slow, threshold=0.25) != []
+
+
+def test_compare_reads_reports_without_us_per_txn():
+    """Reports written before the µs/txn field derive it from wall
+    time and transactions."""
+    baseline = tiny_report(wall_s=0.1)
+    del baseline["workloads"]["hash_table"]["us_per_txn"]
+    assert compare(baseline, tiny_report(wall_s=0.1)) == []
+    assert compare(baseline, tiny_report(wall_s=0.3)) != []
 
 
 def test_compare_skips_missing_workloads():

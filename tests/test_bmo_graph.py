@@ -31,6 +31,22 @@ def test_duplicate_subop_rejected():
         DependencyGraph([SubOp("A", "x", 1), SubOp("A", "y", 1)])
 
 
+def test_repeated_dependency_rejected():
+    with pytest.raises(SimulationError):
+        DependencyGraph([SubOp("A", "x", 1),
+                         SubOp("B", "x", 1, deps=("A", "A"))])
+
+
+def test_successor_map_matches_deps():
+    graph = DependencyGraph([
+        SubOp("A", "x", 1), SubOp("B", "x", 1, deps=("A",)),
+        SubOp("C", "x", 1, deps=("A", "B"))])
+    assert graph.successor_map == {"A": ("B", "C"), "B": ("C",),
+                                   "C": ()}
+    assert graph.successors("A") == ["B", "C"]
+    assert graph.reachable_from(["A"]) == {"B", "C"}
+
+
 def test_unknown_dependency_rejected():
     with pytest.raises(SimulationError):
         DependencyGraph([SubOp("A", "x", 1, deps=("ghost",))])

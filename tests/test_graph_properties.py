@@ -14,13 +14,18 @@ from repro.bmo.graph import DependencyGraph
 
 
 @st.composite
-def random_dag(draw):
-    """A random DAG of 1-12 sub-ops with random external inputs.
+def random_dag(draw, latencies=None, max_subops=12):
+    """A random DAG of 1-``max_subops`` sub-ops with random external
+    inputs and latencies drawn from ``latencies`` (default: floats in
+    [0, 100]).
 
     Edges only point from lower to higher indices, guaranteeing
     acyclicity by construction.
     """
-    n = draw(st.integers(1, 12))
+    if latencies is None:
+        latencies = st.floats(min_value=0.0, max_value=100.0,
+                              allow_nan=False)
+    n = draw(st.integers(1, max_subops))
     subops = []
     for i in range(n):
         deps = tuple(
@@ -28,8 +33,7 @@ def random_dag(draw):
             if draw(st.booleans()) and draw(st.integers(0, 2)) == 0)
         external = frozenset(
             inp for inp in (ADDR, DATA) if draw(st.booleans()))
-        latency = draw(st.floats(min_value=0.0, max_value=100.0,
-                                 allow_nan=False))
+        latency = draw(latencies)
         subops.append(SubOp(f"op{i}", bmo=f"b{i % 3}",
                             latency_ns=latency, deps=deps,
                             external=external))

@@ -75,6 +75,28 @@ class TestSimProfiler:
         profiler.dispatch = {"b": [3, 0], "a": [3, 0], "c": [9, 0]}
         assert [r["key"] for r in profiler.rows()] == ["c", "a", "b"]
 
+    def test_bmo_dataflow_callbacks_keyed_by_step(self):
+        from repro.bmo import build_pipeline
+        from repro.bmo.executor import BmoExecutor
+        from repro.common.config import default_config
+        from repro.sim import Resource
+
+        sim = Simulator()
+        sim.profile = SimProfiler()
+        pipeline = build_pipeline(default_config())
+        executor = BmoExecutor(sim, pipeline, Resource(sim, 4))
+        ctx = pipeline.make_context(addr=0x40, data=bytes(64))
+        sim.process(executor.run_subops(ctx), name="writer")
+        sim.run()
+        counts = {row["key"]: row["count"]
+                  for row in sim.profile.rows()}
+        timed = len(pipeline.all_subops)
+        assert counts["bmo:start"] == 1
+        assert counts["bmo:grant"] == counts["bmo:complete"] == timed
+        assert counts["bmo:notify"] >= 1 and counts["bmo:finish"] == 1
+        assert counts["event:bmo-run"] == 1
+        assert not any(key.startswith("_dagrun") for key in counts)
+
     def test_wall_ns_accumulates(self):
         sim = Simulator()
         ticks = iter(range(0, 1000, 10))
