@@ -54,17 +54,17 @@ from typing import Dict, Iterable, Optional, Tuple
 from repro.bmo.base import BmoContext
 from repro.bmo.pipeline import BmoPipeline
 from repro.common.errors import SimulationError
+from repro.obs.metrics import MetricsScope
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import Resource, Simulator, quantize_ns
 from repro.sim.engine import SimEvent
-from repro.sim.stats import StatSet
 
 
 class BmoExecutor:
     """Schedules sub-operations of one pipeline on shared BMO units."""
 
     def __init__(self, sim: Simulator, pipeline: BmoPipeline,
-                 units: Resource, stats: Optional[StatSet] = None,
+                 units: Resource, stats: Optional[MetricsScope] = None,
                  pipeline_fraction: float = 0.25, tracer=None):
         if not 0.0 < pipeline_fraction <= 1.0:
             raise SimulationError(
@@ -76,7 +76,8 @@ class BmoExecutor:
         #: for ``latency * pipeline_fraction`` (the initiation
         #: interval) while its results appear after the full latency.
         self.pipeline_fraction = pipeline_fraction
-        self.stats = stats or StatSet("bmo-executor")
+        self.stats = stats or MetricsScope(name="bmo-executor",
+                                           registry=None)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Hot metric handles: resolved once, not per sub-operation.
         self._c_subops_executed = self.stats.counter("subops_executed")

@@ -55,8 +55,10 @@ def run_point(workload: str,
     :class:`repro.obs.profile.SimProfiler` to attribute dispatch
     cost, and/or a :class:`repro.obs.timeseries.TimeSeriesSampler`
     to record a metric time series (the sampler is bound to the
-    system's registry here).  With neither, the simulator runs its
-    unmodified fast dispatch loop.
+    system's registry here).  Both attach right after the machine is
+    built, before any workload runs, so the profiler also times the
+    callbacks the machine scheduled while it was built.  Without
+    them, no profiling or sampling code runs.
     """
     if variant is None:
         variant = "manual" if mode == "janus" else "baseline"

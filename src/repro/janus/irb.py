@@ -34,18 +34,18 @@ scanning the buffer (the hardware analogue is a CAM; see
 
 The inner ``Dict[IrbEntry, None]`` buckets are insertion-ordered sets
 with O(1) add/remove (``IrbEntry`` hashes by identity).  A
-linear-scan reference implementation with identical semantics is kept
-in :mod:`repro.janus.irb_linear` for the equivalence property test and
-the ``repro bench`` microbenchmark.
+linear-scan reference implementation with identical semantics lives
+next to its oracle, in :mod:`repro.validate.irb_linear`; the IRB
+lockstep oracle and the ``repro bench`` microbenchmark use it.
 """
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bmo.base import BmoContext
+from repro.obs.metrics import MetricsScope
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import Simulator
-from repro.sim.stats import StatSet
 
 
 @dataclass(eq=False)
@@ -95,7 +95,8 @@ class IntermediateResultBuffer:
         self.sim = sim
         self.capacity = capacity
         self.max_age_ns = max_age_ns
-        self.stats = stats if stats is not None else StatSet("irb")
+        self.stats = stats if stats is not None \
+            else MetricsScope(name="irb", registry=None)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # -- indexes (see module docstring) --
         self._order: _EntrySet = {}

@@ -5,10 +5,9 @@ register a :class:`MetricsScope` (``registry.scope("irb")``) and create
 labeled counters/histograms inside it; the registry can then take a
 point-in-time :meth:`MetricsRegistry.snapshot`, diff two snapshots
 with :meth:`MetricsRegistry.delta`, and export everything as JSON or
-CSV.  ``MetricsScope`` is API-compatible with the old
-``repro.sim.stats.StatSet`` (``.counters`` / ``.histograms`` dicts,
-``counter()`` / ``histogram()`` / ``as_dict()``), so all existing
-call sites and tests keep working.
+CSV.  A component built without a registry uses a free-standing
+``MetricsScope(name=..., registry=None)``, which a registry can
+:meth:`~MetricsRegistry.adopt` later.
 
 Histograms use *bounded reservoir sampling* (Algorithm R, seeded from
 ``repro.common.rng`` by metric name) so arbitrarily long runs keep a
@@ -230,9 +229,9 @@ class Histogram:
 class MetricsScope:
     """A namespaced bag of counters and histograms inside a registry.
 
-    Drop-in compatible with the old ``StatSet``: exposes ``counters``
-    and ``histograms`` dicts keyed by short (label-free) name, and the
-    same ``counter()`` / ``histogram()`` / ``as_dict()`` methods.
+    Exposes ``counters`` and ``histograms`` dicts keyed by short
+    (label-free) name, and ``counter()`` / ``histogram()`` /
+    ``as_dict()`` methods.
     Labeled variants of a metric live alongside the unlabeled one,
     keyed by ``name{k=v}``.
     """
@@ -265,7 +264,7 @@ class MetricsScope:
         return self.histograms[key]
 
     def as_dict(self) -> Dict[str, float]:
-        """Flat name -> value view (StatSet-compatible)."""
+        """Flat name -> value view of this scope."""
         out: Dict[str, float] = {}
         for name, counter in self.counters.items():
             out[name] = counter.value
@@ -288,7 +287,7 @@ class MetricsRegistry:
         return self._scopes[name]
 
     def adopt(self, name: str, scope: MetricsScope) -> MetricsScope:
-        """Register an externally-created scope (e.g. a legacy StatSet)."""
+        """Register an externally-created (registry-less) scope."""
         scope.registry = self
         self._scopes[name] = scope
         return scope

@@ -4,8 +4,8 @@ Answers the question the event-core rewrite campaign needs answered
 before touching anything: *where does simulation cost go?*  Two
 complementary attributions, both derived from a single run:
 
-* **Dispatch profile** — the :class:`~repro.sim.engine.Simulator`
-  instrumented loop classifies every dispatched callback into a
+* **Dispatch profile** — every callback the
+  :class:`~repro.sim.engine.Simulator` dispatches is classified into a
   stable *event-type* key (``process:program``, ``timeout``,
   ``bmo:grant``, ...) and records counts plus host wall-clock
   nanoseconds.  Counts are a pure function of the run (deterministic
@@ -19,14 +19,15 @@ complementary attributions, both derived from a single run:
   speedscope and standard flamegraph tooling load directly.
 
 The profiler is attach-by-assignment: ``sim.profile = SimProfiler()``
-switches :meth:`Simulator.run` onto its instrumented loop; with no
-profiler (and no sampler) the fast loop is the *unmodified* dispatch
-loop, so the disabled path costs exactly one ``is None`` check per
-``run()`` call — not per event (pinned by
-``tests/test_obs_overhead.py``).  There is one instrumented loop per
-scheduler — the bucketed calendar queue and the reference heap — each
-mirroring its fast loop's dispatch order exactly, so a profile never
-changes what it measures.
+swaps that simulator's scheduling functions for versions that enqueue
+each callback inside a timing wrapper, and wraps the callbacks already
+pending.  The wrapper reads :attr:`SimProfiler.clock` around the
+callback and hands the *original* callback to :meth:`SimProfiler.record`,
+so keys classify what was scheduled, not the wrapper.  The dispatch
+loop is the same with or without a profiler, so a profile never
+changes the order or count of what it measures, and an unprofiled
+simulator runs no profiling code at all (pinned by counting in
+``tests/test_obs_overhead.py``).
 """
 
 import re
@@ -97,7 +98,7 @@ class SimProfiler:
         self.total_wall_ns = 0
 
     def record(self, fn: Callable, wall_ns: int) -> None:
-        """Called by the instrumented dispatch loop, once per event."""
+        """Called by the simulator's timing wrapper, once per event."""
         owner = getattr(fn, "__self__", None)
         if owner is None:
             key = classify_callback(fn)

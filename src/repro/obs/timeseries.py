@@ -13,12 +13,12 @@ keep the event queue non-empty forever, and perturb
 ``run(until=...)`` semantics.  Instead the
 :class:`~repro.sim.engine.Simulator` dispatch loop calls
 :meth:`on_advance` whenever the clock crosses the next sample
-boundary (see ``Simulator.run`` — the check only exists on the
-instrumented loop, so an unsampled run pays nothing).  Under the
-default bucketed scheduler the clock only advances *between* same-time
-batches, so the boundary check runs once per batch rather than once
-per event — the sample points are identical either way because a
-boundary can only be crossed where time advances.
+boundary (see ``Simulator.run``).  The clock only advances *between*
+same-time batches, so the boundary check is one compare per distinct
+timestamp, not per event; with no sampler attached it compares against
+a bound that never fires.  The sample points are the same as a
+per-event check's, because a boundary can only be crossed where time
+advances.
 
 Outputs:
 
@@ -50,9 +50,9 @@ class TimeSeriesSampler:
     """Samples a :class:`~repro.obs.metrics.MetricsRegistry` every
     ``interval_ns`` of simulation time.
 
-    Attach by assignment: ``sim.sampler = sampler`` (after
-    ``bind(system.metrics)``); the simulator's instrumented dispatch
-    loop drives :meth:`on_advance`.  Call :meth:`finish` once the run
+    Attach by assignment before the run: ``sim.sampler = sampler``
+    (after ``bind(system.metrics)``); the simulator's dispatch loop
+    drives :meth:`on_advance`.  Call :meth:`finish` once the run
     ends to record the final partial interval.
     """
 

@@ -7,22 +7,25 @@ boundary, with round-half-up (:func:`quantize_ns`).  All arithmetic on
 ``Simulator.now`` is therefore exact, which kills float drift and the
 cross-platform "time went backwards" hazard the old float clock had.
 
-Two interchangeable schedulers share identical semantics:
+:class:`Simulator` has one dispatch loop, a calendar queue: a dict of
+``timestamp -> [(fn, args), ...]`` buckets plus a small heap of
+*distinct* timestamps.  Events at the same instant dispatch as one
+FIFO batch, so the per-event cost is a list append on schedule and a
+list index on dispatch; the heap is touched once per distinct
+timestamp instead of once per event.  The per-event ``(time, seq, fn,
+args)`` heap it replaced lives on as
+:class:`repro.validate.heap_scheduler.HeapSimulator`, the reference
+that ``repro.validate.check_scheduler_equivalence`` and the
+system-level oracles compare this loop against.
 
-* ``bucket`` (default) — a calendar-queue: a dict of
-  ``timestamp -> [callback, ...]`` buckets plus a small heap of
-  *distinct* timestamps.  Events at the same instant dispatch as one
-  batch, so the per-event cost is a list append on schedule and a list
-  index on dispatch; the heap is touched once per distinct timestamp
-  instead of once per event.
-* ``heap`` — the original per-event ``(time, seq, fn, args)`` heapq
-  loop, kept as the reference implementation
-  (``--scheduler=heap`` / ``REPRO_SCHEDULER=heap``).
-
-Both dispatch events in exactly the same order: the bucket batch is
-FIFO within a timestamp, which is precisely what the heap's ``seq``
-tie-breaker produced.  ``repro.validate.oracles.SchedulerLockstep``
-checks this on randomized programs.
+Observability never adds a branch per event.  A
+:class:`~repro.obs.timeseries.TimeSeriesSampler` is driven by one
+compare per distinct timestamp (against a never-firing sentinel when
+none is attached).  Attaching a :class:`~repro.obs.profile.SimProfiler`
+(``sim.profile = profiler``) swaps this instance's ``_schedule`` /
+``_schedule_now`` for versions that enqueue a timing wrapper around
+each callback, and re-wraps the callbacks already pending; the loop
+itself is unchanged, so an unprofiled run executes no profiling code.
 
 :meth:`Simulator.delay` is the trampoline-bypass fast path for the
 dominant "yield a timeout nobody else can see" pattern: it returns a
@@ -33,13 +36,14 @@ same single dispatched callback and the same ordering as
 ``yield sim.timeout(ns)``.
 """
 
-import os
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.common.errors import SimulationError
 
-SCHEDULERS = ("bucket", "heap")
+#: Sample bound used when no sampler is attached: later than any
+#: simulated time, so the loop's per-timestamp compare never fires.
+_NEVER = 1 << 62
 
 
 def quantize_ns(delay) -> int:
@@ -322,59 +326,39 @@ class Process(SimEvent):
 class Simulator:
     """The event loop.
 
-    ``scheduler`` selects the dispatch structure: ``"bucket"`` (the
-    default calendar queue) or ``"heap"`` (the reference per-event
-    heap).  When ``None``, the ``REPRO_SCHEDULER`` environment
-    variable decides, falling back to ``"bucket"`` — which is how the
-    CI heap smoke leg runs the whole suite against the reference loop.
+    Observability attaches by assignment before :meth:`run`:
+    ``sim.sampler = sampler`` (driven once per distinct timestamp) and
+    ``sim.profile = profiler`` (see the :attr:`profile` setter).
     """
 
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        if not scheduler:
-            scheduler = os.environ.get("REPRO_SCHEDULER") or "bucket"
-        if scheduler not in SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}")
-        self.scheduler = scheduler
+    def __init__(self) -> None:
         self.now = 0
         #: Callbacks dispatched so far (one per resumed process step,
         #: event dispatch, or fired timeout) — the denominator of the
-        #: bench harness's events/sec throughput metric.  Identical
-        #: under both schedulers.
+        #: bench harness's events/sec throughput metric.
         self.events: int = 0
-        #: Optional :class:`repro.obs.profile.SimProfiler`.  Attach by
-        #: assignment before :meth:`run`; ``None`` keeps the fast loop.
-        self.profile = None
+        self._profile = None
         #: Optional :class:`repro.obs.timeseries.TimeSeriesSampler`,
-        #: driven from the instrumented loop at sample boundaries.
+        #: driven by :meth:`run` whenever the clock reaches its
+        #: ``next_ns``.
         self.sampler = None
         #: Recycled :class:`Delay` markers (bounded free list).
         self._delay_pool: List[Delay] = []
-        if scheduler == "heap":
-            self._heap: List = []
-            self._seq = 0
-            self._schedule = self._schedule_heap
-            self._schedule_now = self._schedule_now_heap
-            self._run_fast = self._run_heap
-        else:
-            #: timestamp -> list of ``(fn, args)`` in schedule order.
-            self._buckets = {}
-            #: Heap of *distinct* pending timestamps (each pushed once,
-            #: when its bucket is created).
-            self._times: List[int] = []
-            #: Batch currently being drained, its cursor, and its
-            #: timestamp (-1 = no batch yet).  A batch interrupted by
-            #: ``stop_event`` persists here and resumes on the next
-            #: :meth:`run`.
-            self._batch: List = []
-            self._batch_pos = 0
-            self._batch_time = -1
-            self._schedule = self._schedule_bucket
-            self._schedule_now = self._schedule_now_bucket
-            self._run_fast = self._run_bucket
+        #: timestamp -> list of ``(fn, args)`` in schedule order.
+        self._buckets = {}
+        #: Heap of *distinct* pending timestamps (each pushed once,
+        #: when its bucket is created).
+        self._times: List[int] = []
+        #: Batch currently being drained, its cursor, and its
+        #: timestamp (-1 = no batch yet).  A batch interrupted by
+        #: ``stop_event`` or an exception persists here and resumes on
+        #: the next :meth:`run`.
+        self._batch: List = []
+        self._batch_pos = 0
+        self._batch_time = -1
 
     # -- scheduling ----------------------------------------------------
-    def _schedule_bucket(self, delay, fn: Callable, *args) -> None:
+    def _schedule(self, delay, fn: Callable, *args) -> None:
         if type(delay) is not int:
             if delay < 0:
                 raise SimulationError(f"negative delay {delay}")
@@ -385,8 +369,7 @@ class Simulator:
         if time == self._batch_time:
             # Same-instant event scheduled while its batch is live (or
             # just drained at the current time): append to the batch so
-            # it dispatches in FIFO order, exactly like the heap's seq
-            # tie-breaker.
+            # it dispatches in FIFO order.
             self._batch.append((fn, args))
             return
         bucket = self._buckets.get(time)
@@ -396,7 +379,7 @@ class Simulator:
         else:
             bucket.append((fn, args))
 
-    def _schedule_now_bucket(self, fn: Callable, *args) -> None:
+    def _schedule_now(self, fn: Callable, *args) -> None:
         # Hot path: called for every process step and event dispatch.
         if self.now == self._batch_time:
             self._batch.append((fn, args))
@@ -409,19 +392,50 @@ class Simulator:
         else:
             bucket.append((fn, args))
 
-    def _schedule_heap(self, delay, fn: Callable, *args) -> None:
-        if type(delay) is not int:
-            if delay < 0:
-                raise SimulationError(f"negative delay {delay}")
-            delay = int(delay + 0.5)
-        elif delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self._seq += 1
-        heappush(self._heap, (self.now + delay, self._seq, fn, args))
+    def _wrap_pending(self, wrap: Callable) -> None:
+        """Replace every not-yet-dispatched ``(fn, args)`` entry by
+        ``wrap(fn, args)``, in place and in order."""
+        for bucket in self._buckets.values():
+            bucket[:] = [wrap(fn, args) for fn, args in bucket]
+        pos = self._batch_pos
+        self._batch[pos:] = [wrap(fn, args)
+                             for fn, args in self._batch[pos:]]
 
-    def _schedule_now_heap(self, fn: Callable, *args) -> None:
-        self._seq += 1
-        heappush(self._heap, (self.now, self._seq, fn, args))
+    # -- observability -------------------------------------------------
+    @property
+    def profile(self):
+        """The attached :class:`repro.obs.profile.SimProfiler`, if any."""
+        return self._profile
+
+    @profile.setter
+    def profile(self, profiler) -> None:
+        """Attach ``profiler``: from here on every callback is enqueued
+        as ``(timed, (fn, args))``, where ``timed`` dispatches ``fn``
+        between two ``profiler.clock()`` reads and passes the original
+        ``fn`` to ``profiler.record``.  Callbacks already pending —
+        e.g. the processes a machine starts while it is built — are
+        re-wrapped, so every dispatch from now on is profiled.  The
+        dispatch order and count are unchanged.  A profiler cannot be
+        detached or replaced.
+        """
+        if self._profile is not None:
+            raise SimulationError("a profiler is already attached")
+        if profiler is None:
+            return
+        self._profile = profiler
+        clock = profiler.clock
+        record = profiler.record
+
+        def timed(fn, args):
+            start = clock()
+            fn(*args)
+            record(fn, clock() - start)
+
+        schedule, schedule_now = self._schedule, self._schedule_now
+        self._wrap_pending(lambda fn, args: (timed, (fn, args)))
+        self._schedule = \
+            lambda delay, fn, *args: schedule(delay, timed, fn, args)
+        self._schedule_now = lambda fn, *args: schedule_now(timed, fn, args)
 
     # -- public factory helpers ----------------------------------------
     def event(self, name: str = "") -> SimEvent:
@@ -467,21 +481,17 @@ class Simulator:
         same result whether or not a (never-triggered) ``stop_event``
         was passed.
 
-        With a :attr:`profile` or :attr:`sampler` attached the run is
-        delegated to :meth:`_run_instrumented`; the check happens once
-        per ``run()`` call, never per event, so disabled-observability
-        runs execute the bare scheduler loop unchanged.
+        An attached :attr:`sampler` takes its samples whenever the
+        clock reaches its next boundary: before the batch that crosses
+        it dispatches, so samples reflect state *at* the boundary, and
+        once more where the run ends.
         """
-        if self.profile is not None or self.sampler is not None:
-            return self._run_instrumented(until, stop_event)
-        return self._run_fast(until, stop_event)
-
-    def _run_bucket(self, until: Optional[float],
-                    stop_event: Optional[SimEvent]) -> float:
         buckets = self._buckets
         times = self._times
         batch = self._batch
         pos = self._batch_pos
+        sampler = self.sampler
+        next_sample = _NEVER if sampler is None else sampler.next_ns
         # Entries of the live batch already dispatched (and counted) by
         # a previous run(); ``pos - base`` is this run's contribution.
         base = pos
@@ -495,9 +505,9 @@ class Simulator:
                         break
                     if until is not None and self._batch_time > until:
                         # Leftover batch from a stopped run lies beyond
-                        # the new horizon: mirror the heap's peek path.
+                        # the new horizon.
                         self.now = until
-                        return self.now
+                        break
                     if stop_event is None:
                         if pos:
                             # Resuming mid-batch: index from the cursor.
@@ -535,7 +545,7 @@ class Simulator:
                 time = times[0]
                 if until is not None and time > until:
                     self.now = until
-                    return self.now
+                    break
                 heappop(times)
                 if time < self.now:
                     raise SimulationError("time went backwards")
@@ -545,145 +555,18 @@ class Simulator:
                 batch = self._batch = buckets.pop(time)
                 pos = 0
                 base = 0
+                # Time only advances here, once per distinct
+                # timestamp, so this is the only sample check the
+                # dispatch path needs.
+                if time >= next_sample:
+                    sampler.on_advance(time)
+                    next_sample = sampler.next_ns
         finally:
             self.events += dispatched + (pos - base)
             self._batch_pos = pos
         if until is not None and not times and pos >= len(batch) \
                 and not stopped:
             self.now = max(self.now, until)
-        return self.now
-
-    def _run_heap(self, until: Optional[float],
-                  stop_event: Optional[SimEvent]) -> float:
-        heap = self._heap
-        while heap:
-            if stop_event is not None and stop_event.triggered:
-                break
-            time, _seq, fn, args = heap[0]
-            if until is not None and time > until:
-                self.now = until
-                return self.now
-            heappop(heap)
-            if time < self.now:
-                raise SimulationError("time went backwards")
-            self.now = time
-            self.events += 1
-            fn(*args)
-        stopped = stop_event is not None and stop_event.triggered
-        if until is not None and not heap and not stopped:
-            self.now = max(self.now, until)
-        return self.now
-
-    def _run_instrumented(self, until: Optional[float],
-                          stop_event: Optional[SimEvent]) -> float:
-        """The :meth:`run` loop with profiler / sampler hooks.
-
-        Identical scheduling semantics to the fast loops; additionally
-        times each callback for :attr:`profile` and drives
-        :attr:`sampler` whenever the clock crosses its next sample
-        boundary (before dispatching the crossing event, so samples
-        reflect state *at* the boundary).
-        """
-        if self.scheduler == "heap":
-            return self._run_instrumented_heap(until, stop_event)
-        buckets = self._buckets
-        times = self._times
-        batch = self._batch
-        pos = self._batch_pos
-        profile = self.profile
-        sampler = self.sampler
-        clock = profile.clock if profile is not None else None
-        stopped = False
-        while True:
-            if pos < len(batch):
-                if stop_event is not None and stop_event.triggered:
-                    stopped = True
-                    break
-                if until is not None and self._batch_time > until:
-                    self._batch_pos = pos
-                    self.now = until
-                    if sampler is not None and self.now >= sampler.next_ns:
-                        sampler.on_advance(self.now)
-                    return self.now
-                while pos < len(batch):
-                    if stop_event is not None and stop_event.triggered:
-                        stopped = True
-                        break
-                    fn, args = batch[pos]
-                    pos += 1
-                    self.events += 1
-                    if profile is not None:
-                        start = clock()
-                        fn(*args)
-                        profile.record(fn, clock() - start)
-                    else:
-                        fn(*args)
-                if stopped:
-                    break
-                continue
-            if stop_event is not None and stop_event.triggered:
-                stopped = True
-                break
-            if not times:
-                break
-            time = times[0]
-            if until is not None and time > until:
-                self._batch_pos = pos
-                self.now = until
-                if sampler is not None and self.now >= sampler.next_ns:
-                    sampler.on_advance(self.now)
-                return self.now
-            heappop(times)
-            if time < self.now:
-                raise SimulationError("time went backwards")
-            self.now = time
-            # Time only advances between batches, so one boundary
-            # check per batch is equivalent to the heap loop's
-            # per-event check (on_advance pushes next_ns past `time`).
-            if sampler is not None and time >= sampler.next_ns:
-                sampler.on_advance(time)
-            self._batch_time = time
-            batch = self._batch = buckets.pop(time)
-            pos = 0
-        self._batch_pos = pos
-        if until is not None and not times and pos >= len(batch) \
-                and not stopped:
-            self.now = max(self.now, until)
-        if sampler is not None and self.now >= sampler.next_ns:
-            sampler.on_advance(self.now)
-        return self.now
-
-    def _run_instrumented_heap(self, until: Optional[float],
-                               stop_event: Optional[SimEvent]) -> float:
-        heap = self._heap
-        profile = self.profile
-        sampler = self.sampler
-        clock = profile.clock if profile is not None else None
-        while heap:
-            if stop_event is not None and stop_event.triggered:
-                break
-            time, _seq, fn, args = heap[0]
-            if until is not None and time > until:
-                self.now = until
-                if sampler is not None and self.now >= sampler.next_ns:
-                    sampler.on_advance(self.now)
-                return self.now
-            heappop(heap)
-            if time < self.now:
-                raise SimulationError("time went backwards")
-            self.now = time
-            if sampler is not None and time >= sampler.next_ns:
-                sampler.on_advance(time)
-            self.events += 1
-            if profile is not None:
-                start = clock()
-                fn(*args)
-                profile.record(fn, clock() - start)
-            else:
-                fn(*args)
-        stopped = stop_event is not None and stop_event.triggered
-        if until is not None and not heap and not stopped:
-            self.now = max(self.now, until)
-        if sampler is not None and self.now >= sampler.next_ns:
+        if self.now >= next_sample:
             sampler.on_advance(self.now)
         return self.now

@@ -33,9 +33,11 @@ What is recorded:
   and the final clock.
 
 :func:`check_executor_equivalence` raises :class:`OracleMismatch` on
-the first difference between the two executors, under either
-scheduler.  :func:`run_system` builds a whole machine on either
-executor, for system-level comparisons.
+the first difference between the two executors, on the production
+:class:`~repro.sim.engine.Simulator` and on the reference
+:class:`~repro.validate.heap_scheduler.HeapSimulator`.
+:func:`run_system` builds a whole machine on either executor, for
+system-level comparisons.
 """
 
 from typing import Dict, List, Sequence
@@ -50,8 +52,8 @@ from repro.core import NvmSystem, machine
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Resource, Simulator
 from repro.sim.engine import Process, SimEvent
+from repro.validate.heap_scheduler import HeapSimulator, run_recorded
 from repro.validate.oracles import OracleMismatch
-from repro.workloads import WorkloadParams, make_workload
 
 
 class CoroutineExecutor(BmoExecutor):
@@ -217,10 +219,11 @@ class _Policy:
         return total, occupancy
 
 
-def run_executor_program(kind: str, scheduler: str, program: dict) -> dict:
+def run_executor_program(kind: str, simulator: type, program: dict) -> dict:
     """Run ``program`` on the ``kind`` executor (``dataflow`` or
-    ``coroutine``) under ``scheduler``; return the observable outcome."""
-    sim = Simulator(scheduler)
+    ``coroutine``) on a ``simulator`` instance; return the observable
+    outcome."""
+    sim = simulator()
     trace: List[tuple] = []
 
     def action(name):
@@ -262,14 +265,13 @@ def run_executor_program(kind: str, scheduler: str, program: dict) -> dict:
     }
 
 
-def check_executor_equivalence(program: dict,
-                               schedulers=("bucket", "heap")) -> None:
+def check_executor_equivalence(program: dict) -> None:
     """Raise :class:`OracleMismatch` unless the dataflow executor
-    reproduces the coroutine reference on ``program`` under every
-    scheduler in ``schedulers``."""
-    for scheduler in schedulers:
-        ref = run_executor_program("coroutine", scheduler, program)
-        got = run_executor_program("dataflow", scheduler, program)
+    reproduces the coroutine reference on ``program``, on the
+    production event loop and on the reference heap loop."""
+    for simulator in (Simulator, HeapSimulator):
+        ref = run_executor_program("coroutine", simulator, program)
+        got = run_executor_program("dataflow", simulator, program)
         if ref == got:
             continue
         for key in ("trace", "final_now", "metrics", "units_in_use"):
@@ -287,7 +289,8 @@ def check_executor_equivalence(program: dict,
                     detail = (f"trace length {len(ref['trace'])} != "
                               f"{len(got['trace'])}")
             raise OracleMismatch(
-                f"executor lockstep diverged under {scheduler}: {detail}",
+                f"executor lockstep diverged on {simulator.__name__}: "
+                f"{detail}",
                 diff=[("coroutine", ref), ("dataflow", got)])
 
 
@@ -296,30 +299,9 @@ def check_executor_equivalence(program: dict,
 # ---------------------------------------------------------------------------
 def run_system(kind: str, workload: str, mode: str, shards: int,
                cores: int = 2, txns: int = 4, seed: int = 1) -> dict:
-    """Run one workload on a whole machine built with the ``kind``
-    executor; return its metrics snapshot, per-transaction ``(core,
-    txn, start, end)`` records, elapsed and quiesced sim-ns."""
+    """:func:`repro.validate.heap_scheduler.run_recorded` on a whole
+    machine built with the ``kind`` executor."""
     cfg = default_config(mode=mode, cores=cores, shards=shards, seed=seed)
     with mock.patch.object(machine, "BmoExecutor", EXECUTORS[kind]):
         system = NvmSystem(cfg)
-    variant = "manual" if mode == "janus" else "baseline"
-    instances = [make_workload(workload, system, core,
-                               WorkloadParams(n_transactions=txns),
-                               variant=variant)
-                 for core in system.cores]
-    records: List[tuple] = []
-    sim = system.sim
-    for instance in instances:
-        original = instance.transaction
-        core = instance.core
-
-        def timed(original=original, core=core):
-            start = sim.now
-            result = yield from original()
-            records.append((core.core_id, core.current_txn_id, start,
-                            sim.now))
-            return result
-        instance.transaction = timed
-    elapsed = system.run_programs([inst.run() for inst in instances])
-    return {"metrics": system.metrics.snapshot(), "txns": records,
-            "elapsed_ns": elapsed, "quiesced_ns": sim.now}
+    return run_recorded(system, workload, mode, txns)

@@ -12,7 +12,7 @@ Two lockstep comparisons back the repo's equivalence arguments:
 
 * **IRB lockstep** — drive the indexed
   :class:`~repro.janus.irb.IntermediateResultBuffer` and the
-  :class:`~repro.janus.irb_linear.LinearScanIrb` reference with the
+  :class:`~repro.validate.irb_linear.LinearScanIrb` reference with the
   same operation stream and compare observable state after every
   step.  Promoted from ``tests/test_irb_equivalence``.
 
@@ -50,8 +50,9 @@ from repro.consistency import recover
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.core import NvmSystem
 from repro.janus.irb import IntermediateResultBuffer, IrbEntry
-from repro.janus.irb_linear import LinearScanIrb
 from repro.sim import Resource, Simulator, Store
+from repro.validate.heap_scheduler import HeapSimulator
+from repro.validate.irb_linear import LinearScanIrb
 from repro.workloads import WorkloadParams, make_workload
 
 LINE = 64
@@ -749,13 +750,13 @@ def build_scheduler_program(rng, workers: int = 6, steps: int = 24,
     return program
 
 
-def run_scheduler_program(scheduler: str,
+def run_scheduler_program(simulator: type,
                           program: Sequence[Sequence[tuple]]) -> dict:
-    """Execute a pre-generated program under ``scheduler``; return the
-    full observable outcome: the dispatch-ordered trace of completed
-    ops (worker, step, sim-time, op kind), the final clock, the
-    dispatched-event count, and the store's leftover items."""
-    sim = Simulator(scheduler)
+    """Execute a pre-generated program on a ``simulator`` instance;
+    return the full observable outcome: the dispatch-ordered trace of
+    completed ops (worker, step, sim-time, op kind), the final clock,
+    the dispatched-event count, and the store's leftover items."""
+    sim = simulator()
     n_shared = 1 + max((op[1] for script in program for op in script
                         if op[0] in ("signal", "wait")), default=0)
     shared = [sim.event(f"shared{i}") for i in range(n_shared)]
@@ -829,15 +830,15 @@ def run_scheduler_program(scheduler: str,
 
 def check_scheduler_equivalence(rng, workers: int = 6, steps: int = 24,
                                 rounds: int = 1) -> None:
-    """Raise :class:`OracleMismatch` unless the bucket scheduler
-    reproduces the reference heap's behaviour — same dispatch order,
-    same clocks, same dispatched-event count — on ``rounds`` random
-    programs drawn from ``rng``."""
+    """Raise :class:`OracleMismatch` unless :class:`Simulator`'s
+    calendar queue reproduces the reference :class:`HeapSimulator` —
+    same dispatch order, same clocks, same dispatched-event count — on
+    ``rounds`` random programs drawn from ``rng``."""
     for round_no in range(rounds):
         program = build_scheduler_program(rng, workers=workers,
                                           steps=steps)
-        ref = run_scheduler_program("heap", program)
-        got = run_scheduler_program("bucket", program)
+        ref = run_scheduler_program(HeapSimulator, program)
+        got = run_scheduler_program(Simulator, program)
         if ref == got:
             continue
         for key in ("trace", "final_now", "events", "store_leftover",

@@ -86,12 +86,35 @@ def test_find_baseline_picks_latest_and_honours_exclude(tmp_path):
     for date in ("2026-01-01", "2026-02-01", "2026-03-01"):
         write_report(tiny_report(date=date),
                      str(tmp_path / f"BENCH_{date}.json"))
-    latest = find_baseline(str(tmp_path))
+    latest = find_baseline(str(tmp_path), quick=True)
     assert latest.endswith("BENCH_2026-03-01.json")
     # Excluding the newest (the report being written) falls back.
-    prev = find_baseline(str(tmp_path), exclude=latest)
+    prev = find_baseline(str(tmp_path), quick=True, exclude=latest)
     assert prev.endswith("BENCH_2026-02-01.json")
-    assert find_baseline(str(tmp_path / "empty")) is None
+    assert find_baseline(str(tmp_path / "empty"), quick=True) is None
+
+
+def test_quick_run_never_picks_a_full_baseline(tmp_path):
+    """Quick and full reports are gated only against their own kind,
+    whatever their dates."""
+    def write(date, quick):
+        report = tiny_report(date=date)
+        report["meta"]["quick"] = quick
+        path = bench_path(str(tmp_path), date=date, quick=quick)
+        write_report(report, path)
+        return path
+
+    quick_old = write("2026-01-01", quick=True)
+    full_new = write("2026-03-01", quick=False)
+    assert quick_old.endswith("BENCH_2026-01-01-quick.json")
+    assert find_baseline(str(tmp_path), quick=True) == quick_old
+    assert find_baseline(str(tmp_path), quick=False) == full_new
+    # A full point dated like the quick one sorts after it by name,
+    # and is still not picked for a quick run.
+    write("2026-01-01", quick=False)
+    assert find_baseline(str(tmp_path), quick=True) == quick_old
+    assert find_baseline(str(tmp_path), quick=True,
+                         exclude=quick_old) is None
 
 
 def test_bench_path_uses_date(tmp_path):

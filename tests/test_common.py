@@ -24,7 +24,7 @@ from repro.harness.report import (
     format_series,
     geometric_mean,
 )
-from repro.sim.stats import Counter, Histogram, StatSet
+from repro.obs.metrics import Counter, Histogram, MetricsScope
 
 
 class TestUnits:
@@ -201,7 +201,7 @@ class TestStats:
         assert h.percentile(50) == 0.0
 
     def test_statset_as_dict(self):
-        stats = StatSet()
+        stats = MetricsScope(name="stats", registry=None)
         stats.counter("hits").add(3)
         stats.histogram("lat").observe(10.0)
         d = stats.as_dict()

@@ -5,7 +5,8 @@ dataflow; the reference (``repro.validate.executor_oracle``) runs one
 coroutine process per sub-op.  Both must produce the same unit
 acquire / grant / release order, the same ``adjust_timing`` and
 ``SubOp.execute`` order, the same caller resumes and the same metrics,
-under both schedulers — on random DAGs and on whole machines.
+on the production event loop and the reference heap loop — on random
+DAGs and on whole machines.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bmo.base import SubOp
+from repro.sim import Simulator
 from repro.validate.executor_oracle import (
     check_executor_equivalence, run_executor_program, run_system,
 )
@@ -94,7 +96,7 @@ def test_zero_latency_dependency_done_in_the_start_hop():
 
 
 def test_lockstep_trace_covers_every_observable_kind():
-    result = run_executor_program("dataflow", "bucket", _chain_program())
+    result = run_executor_program("dataflow", Simulator, _chain_program())
     kinds = {entry[1] for entry in result["trace"]}
     assert kinds == {"acquire", "grant", "release", "adjust", "execute",
                      "resume"}
@@ -109,7 +111,7 @@ def test_failing_subop_fails_the_caller_like_the_reference():
         raise RuntimeError("sub-op failed")
 
     from repro.bmo.base import BmoContext
-    from repro.sim import Resource, Simulator
+    from repro.sim import Resource
     from repro.validate.executor_oracle import EXECUTORS, _DagPipeline
 
     outcomes = {}

@@ -2,8 +2,8 @@
 
 from repro.bmo.base import BmoContext
 from repro.janus.irb import IntermediateResultBuffer, IrbEntry
-from repro.janus.irb_linear import LinearScanIrb
 from repro.sim import Simulator
+from repro.validate.irb_linear import LinearScanIrb
 
 
 def entry(pre_id=1, thread=0, txn=0, addr=64, data=None, seq=0):

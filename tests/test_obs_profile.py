@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.harness.runner import run_point
 from repro.obs.profile import (
     SimProfiler,
@@ -15,7 +17,11 @@ from repro.obs.profile import (
 )
 from repro.obs.tracer import Tracer
 from repro.sim import Simulator
+from repro.validate.heap_scheduler import HeapSimulator
 from repro.workloads import WorkloadParams
+
+LOOPS = pytest.mark.parametrize("simulator", [Simulator, HeapSimulator],
+                                ids=["bucket", "heap"])
 
 
 class TestNormalization:
@@ -96,6 +102,74 @@ class TestSimProfiler:
         assert counts["bmo:notify"] >= 1 and counts["bmo:finish"] == 1
         assert counts["event:bmo-run"] == 1
         assert not any(key.startswith("_dagrun") for key in counts)
+
+    @LOOPS
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_raise_mid_batch_then_resume_dispatches_each_once(
+            self, simulator, profiled):
+        """A callback that raises mid-batch propagates out of run(); the
+        next run() resumes after it.  Profiled or not, the batch
+        ``[a, boom, b]`` dispatches ``a, boom, b`` and counts 3."""
+        sim = simulator()
+        if profiled:
+            sim.profile = SimProfiler()
+        seen = []
+
+        def boom():
+            seen.append("boom")
+            raise RuntimeError("boom")
+
+        sim._schedule_now(seen.append, "a")
+        sim._schedule_now(boom)
+        sim._schedule_now(seen.append, "b")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        sim.run()
+        assert seen == ["a", "boom", "b"]
+        assert sim.events == 3
+        if profiled:
+            # The raising callback is counted as dispatched but has no
+            # timing to record.
+            assert sim.profile.total_events == 2
+
+    @LOOPS
+    def test_attach_after_machine_build_profiles_every_dispatch(
+            self, simulator):
+        """The profiler attaches to a built machine with a program
+        already pending; pending callbacks are re-wrapped at attach
+        time, so the profile counts every event."""
+        from repro.common.config import default_config
+        from repro.core import NvmSystem, machine
+        from repro.workloads import make_workload
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(machine, "Simulator", simulator)
+            system = NvmSystem(default_config(mode="async-epoch",
+                                              cores=2, shards=2))
+        sim = system.sim
+        workloads = [make_workload("queue", system, core,
+                                   WorkloadParams(n_transactions=2))
+                     for core in system.cores]
+        # One program is already pending when the profiler attaches,
+        # the other is scheduled through the wrapping functions.
+        sim.process(workloads[0].run(), name="program0")
+        pending = len(sim._heap) if simulator is HeapSimulator \
+            else sum(map(len, sim._buckets.values())) + len(sim._batch)
+        assert pending >= 1
+        sim.profile = SimProfiler()
+        sim.process(workloads[1].run(), name="program1")
+        sim.run()
+        assert workloads[0].completed_transactions == 2
+        assert sim.events > 0
+        assert sim.profile.total_events == sim.events
+
+    def test_second_profiler_rejected(self):
+        from repro.common.errors import SimulationError
+
+        sim = Simulator()
+        sim.profile = SimProfiler()
+        with pytest.raises(SimulationError):
+            sim.profile = SimProfiler()
 
     def test_wall_ns_accumulates(self):
         sim = Simulator()

@@ -128,6 +128,29 @@ class TestSimulatorIntegration:
         assert len(sampler.samples) >= 2
         assert sampler.samples[-1]["sim_ns"] == sampled.elapsed_ns
 
+    def test_per_timestamp_check_samples_like_a_per_event_check(self):
+        """The calendar queue checks the sample bound once per distinct
+        timestamp, the reference heap loop once per event: the samples
+        must be identical."""
+        from unittest import mock
+
+        from repro.common.config import default_config
+        from repro.core import NvmSystem, machine
+        from repro.sim import Simulator
+        from repro.validate.heap_scheduler import HeapSimulator, run_recorded
+
+        def samples(simulator):
+            with mock.patch.object(machine, "Simulator", simulator):
+                system = NvmSystem(default_config(mode="janus", cores=2))
+            sampler = TimeSeriesSampler(150.0).bind(system.metrics)
+            system.sim.sampler = sampler
+            run_recorded(system, "queue", "janus", txns=3)
+            return sampler.samples
+
+        reference = samples(HeapSimulator)
+        assert len(reference) > 10
+        assert samples(Simulator) == reference
+
 
 class TestPrometheusExposition:
     def _snapshot(self):
